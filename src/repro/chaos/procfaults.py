@@ -20,10 +20,13 @@ the tear has to happen inside the victim's write path:
              journal-dir flock, and times out every RPC.  The DEAD
              verdict's kill action sends the SIGKILL that actually ends
              it (SIGKILL works on stopped processes).
-``torn``     The victim tears its next response frame halfway and
-             exits (armed at spawn via ``REPRO_PROC_TORN_AFTER``): a
-             half-written length-prefixed frame, the wire-codec twin of
-             a torn journal line.
+``torn``     The victim tears its ``torn_response``-th response frame
+             halfway and exits (armed at spawn via
+             ``REPRO_PROC_TORN_AFTER``): a half-written length-prefixed
+             frame, the wire-codec twin of a torn journal line.  With
+             ``torn_op`` only responses to that op count
+             (``REPRO_PROC_TORN_OP``), so a case names the op it tears
+             instead of depending on the router's call schedule.
 ``epipe``    Like ``sigkill``, but the harness then *submits to the
              dead shard* before supervision notices, proving the ack
              path surfaces a typed transport error instead of
@@ -55,6 +58,8 @@ class ProcFault:
     #: For ``torn``: tear the victim's n-th response frame (counted in
     #: the worker, armed at spawn).
     torn_response: int = 12
+    #: For ``torn``: count only responses to this op (``""`` = all).
+    torn_op: str = ""
 
     def __post_init__(self) -> None:
         if self.kind not in PROC_FAULT_KINDS:
@@ -66,13 +71,24 @@ class ProcFault:
             raise ChaosError(
                 f"after_completions must be >= 0, got {self.after_completions}"
             )
+        if self.torn_response < 1:
+            raise ChaosError(
+                f"torn_response must be >= 1, got {self.torn_response}"
+            )
+        if self.torn_op and self.kind != "torn":
+            raise ChaosError(
+                f"torn_op only applies to the torn fault, not {self.kind!r}"
+            )
 
     @property
     def spawn_env(self) -> dict[str, str]:
         """Environment that arms worker-side hooks (torn frames only)."""
-        if self.kind == "torn":
-            return {"REPRO_PROC_TORN_AFTER": str(self.torn_response)}
-        return {}
+        if self.kind != "torn":
+            return {}
+        env = {"REPRO_PROC_TORN_AFTER": str(self.torn_response)}
+        if self.torn_op:
+            env["REPRO_PROC_TORN_OP"] = self.torn_op
+        return env
 
 
 def _signal_pid(pid: int, sig: int) -> bool:

@@ -50,7 +50,12 @@ from repro.serve.durability.records import RecordType
 from repro.serve.durability.recovery import replay
 from repro.serve.jobs import JobStatus
 
-__all__ = ["ProcScenario", "ProcReport", "run_proc_scenario"]
+__all__ = [
+    "ProcScenario",
+    "ProcReport",
+    "audit_journals",
+    "run_proc_scenario",
+]
 
 
 @dataclass(frozen=True)
@@ -391,8 +396,33 @@ def run_proc_scenario(
         if job_id not in delivered:
             report.violations.append(f"{job_id}: acknowledged but lost")
 
-    # ---- invariants over every shard journal --------------------------
-    submitted_by_shard: dict[str, set[str]] = {}
+    audit_journals(root, names, report)
+
+    # ---- invariant: executed outputs match the baseline ---------------
+    for job_id, output in sorted(executed_outputs.items()):
+        want = baseline.get(job_id)
+        if want is None:
+            continue
+        if not _outputs_equal(output, want):
+            report.violations.append(
+                f"{job_id}: output differs from fault-free baseline "
+                f"(the wire codec must round-trip bit-exact)"
+            )
+    return report
+
+
+def audit_journals(root: Path, names: list[str], report: ProcReport) -> None:
+    """Fold every shard journal under ``root`` after the cluster shut
+    down; record the per-journal invariants' violations in ``report``.
+
+    * **per-journal single DONE** and **idempotent replay**, per journal;
+    * **no job moved into the void** — a job MOVED off one shard must be
+      owned by another: SUBMITTED there, or DONE there.  DONE counts
+      because the rejoin gate's :meth:`~repro.serve.durability.journal.
+      JobJournal.compact` keeps only the DONE record of a finished job,
+      and DONE is stronger evidence of ownership than SUBMITTED.
+    """
+    owned_by_shard: dict[str, set[str]] = {}
     done_by_job: dict[str, int] = {}
     moved: list[tuple[str, str]] = []
     for name in names:
@@ -403,8 +433,10 @@ def run_proc_scenario(
         records, scan = journal.scan()
         journal.close()
         report.journal_records += scan.records
-        submitted_by_shard[name] = {
-            r.job_id for r in records if r.type is RecordType.SUBMITTED
+        owned_by_shard[name] = {
+            r.job_id
+            for r in records
+            if r.type in (RecordType.SUBMITTED, RecordType.DONE)
         }
         per_job_done: dict[str, int] = {}
         for record in records:
@@ -430,27 +462,14 @@ def run_proc_scenario(
     report.duplicate_executions = sum(
         1 for count in done_by_job.values() if count > 1
     )
-
-    # ---- invariant: no job moved into the void ------------------------
     for shard_name, job_id in moved:
         elsewhere = any(
             job_id in ids
-            for name, ids in submitted_by_shard.items()
+            for name, ids in owned_by_shard.items()
             if name != shard_name
         )
         if not elsewhere:
             report.violations.append(
-                f"{shard_name}/{job_id}: MOVED but SUBMITTED nowhere else"
+                f"{shard_name}/{job_id}: MOVED but SUBMITTED or DONE "
+                f"nowhere else"
             )
-
-    # ---- invariant: executed outputs match the baseline ---------------
-    for job_id, output in sorted(executed_outputs.items()):
-        want = baseline.get(job_id)
-        if want is None:
-            continue
-        if not _outputs_equal(output, want):
-            report.violations.append(
-                f"{job_id}: output differs from fault-free baseline "
-                f"(the wire codec must round-trip bit-exact)"
-            )
-    return report

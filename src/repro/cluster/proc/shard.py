@@ -15,11 +15,15 @@ typed RPC client, and that changes the failure semantics deliberately:
   acked*; swallowing it would fabricate an ack for a job no journal
   holds.  The caller gets the typed :class:`~repro.errors.RpcError` and
   owns the resubmission decision.
-- **reads degrade.**  ``queue_depth`` / ``has_job`` / probes return
-  empty answers against an unreachable process instead of wedging a
-  router round behind per-call timeouts; ``step_one`` marks the shard
-  unreachable and goes idle so the supervisor — not an exception — ends
-  the shard's tenure.
+- **queue depth is a local read.**  The process reports its queue
+  depth in its hello and in every reply; ``queue_depth`` reads that
+  mirror, so rebalancing and ``pending`` cost no round trip.  An
+  unreachable or dead process reads as depth 0.
+- **reads degrade.**  ``has_job`` / ``finished`` / the other probes
+  return empty answers against an unreachable process instead of
+  wedging a router round behind per-call timeouts; ``step_one`` marks
+  the shard unreachable and goes idle so the supervisor — not an
+  exception — ends the shard's tenure.
 
 A shard that answered nothing is distinguished from one that is *gone*:
 EOF/EPIPE (process exited) drops ``alive`` immediately, while a timeout
@@ -92,6 +96,9 @@ class ProcShardWorker:
         self.jobs_handed_in = 0
         self._alive = False
         self._unreachable = False
+        #: The process's queue depth as of its last reply (see the
+        #: module docstring).
+        self._depth = 0
         self.hello: dict = {}
 
         argv = [
@@ -160,6 +167,7 @@ class ProcShardWorker:
                 f"{error.get('type', 'Error')}: {error.get('message', '')}"
             )
         self.hello = hello.get("value") or {}
+        self._depth = int(self.hello.get("queue_depth", 0))
         self._alive = True
 
     # ------------------------------------------------------------------
@@ -217,6 +225,7 @@ class ProcShardWorker:
             self._unreachable = True
             raise
         self._unreachable = False
+        self._depth = int(value.get("depth", self._depth))
         return value
 
     # ------------------------------------------------------------------
@@ -227,10 +236,7 @@ class ProcShardWorker:
     def queue_depth(self) -> int:
         if not self._alive or self._unreachable:
             return 0
-        try:
-            return int(self._call("queue_depth")["depth"])
-        except (RpcError, ClusterError):
-            return 0
+        return self._depth
 
     def resident_keys(self) -> set[str]:
         if not self._alive or self._unreachable:
@@ -301,9 +307,7 @@ class ProcShardWorker:
             return ShardHeartbeat(
                 shard=self.name, round_index=round_index, alive=False
             )
-        hb = wire.decode_heartbeat(data)
-        # Trust the local draining flag (the process echoes it back).
-        return hb
+        return wire.decode_heartbeat(data)
 
     def steal_candidates(self) -> list[JobRequest]:
         if not self._alive or self._unreachable:

@@ -19,14 +19,18 @@ the router.
 The ops mirror :class:`repro.cluster.shard.ShardWorker`'s surface one
 for one — submit/step/heartbeat/steal_candidates/release/expire plus
 the read probes — so the router drives either through the same code
-path.  stdout belongs to the protocol alone: ``sys.stdout`` is rebound
-to stderr before the engine imports can print anything.
+path.  The hello and every reply carry the queue's depth, so the
+router keeps a local mirror instead of asking.  stdout belongs to the
+protocol alone: ``sys.stdout`` is rebound to stderr before the engine
+imports can print anything.
 
 Chaos hooks (armed via environment, used by the proc fault harness):
 
 - ``REPRO_PROC_TORN_AFTER=n`` — the ``n``-th response frame is written
   *half* and the process exits: a torn frame mid-message, as seen by
-  the router.
+  the router.  With ``REPRO_PROC_TORN_OP=<op>`` only responses to that
+  op are counted, so the tear lands on a named op whatever the router's
+  call schedule.
 - ``REPRO_PROC_EXIT_AFTER=n`` — the process exits just before writing
   the ``n``-th response: death between accepting work and acking it.
 """
@@ -69,17 +73,23 @@ class _ChaosWriter:
     def __init__(self, out) -> None:
         self.out = out
         self.responses = 0
+        #: Responses counted toward the tear: all of them, or only those
+        #: to ``torn_op`` when one is named.
+        self.torn_counted = 0
         self.torn_after = int(os.environ.get("REPRO_PROC_TORN_AFTER", "0"))
+        self.torn_op = os.environ.get("REPRO_PROC_TORN_OP", "")
         self.exit_after = int(os.environ.get("REPRO_PROC_EXIT_AFTER", "0"))
 
-    def write(self, message: dict) -> None:
+    def write(self, message: dict, op: str = "") -> None:
         frame = wire.encode_message(message)
         self.responses += 1
+        if not self.torn_op or op == self.torn_op:
+            self.torn_counted += 1
         if self.exit_after and self.responses >= self.exit_after:
             # Dead before the ack ever hits the pipe — the router sees
             # EOF exactly where a SIGKILL mid-message would leave it.
             os._exit(17)
-        if self.torn_after and self.responses >= self.torn_after:
+        if self.torn_after and self.torn_counted >= self.torn_after:
             self.out.write(frame[: max(1, len(frame) // 2)])
             self.out.flush()
             os._exit(18)
@@ -165,8 +175,6 @@ def _dispatch(engine: DurableEngine, name: str, op: str, params: dict):
         }
     if op == "backlog":
         return {"jobs": [wire.encode_job(r) for r in engine.queue]}
-    if op == "queue_depth":
-        return {"depth": len(engine.queue)}
     if op == "compact":
         removed = engine.journal.compact()
         return {"removed": removed}
@@ -197,7 +205,7 @@ def serve(engine: DurableEngine, name: str, stdin, writer: _ChaosWriter) -> None
             op = str(message.get("op", ""))
             params = message.get("params") or {}
             if op == "shutdown":
-                writer.write({"id": call_id, "ok": True, "value": {}})
+                writer.write({"id": call_id, "ok": True, "value": {}}, op)
                 running = False
                 break
             try:
@@ -211,10 +219,12 @@ def serve(engine: DurableEngine, name: str, stdin, writer: _ChaosWriter) -> None
                             "type": type(exc).__name__,
                             "message": str(exc),
                         },
-                    }
+                    },
+                    op,
                 )
             else:
-                writer.write({"id": call_id, "ok": True, "value": value})
+                value["depth"] = len(engine.queue)
+                writer.write({"id": call_id, "ok": True, "value": value}, op)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -270,7 +280,8 @@ def main(argv: list[str] | None = None) -> int:
                 "corrupt_lines_dropped": engine.report.corrupt_lines_dropped,
                 "queue_depth": len(engine.queue),
             },
-        }
+        },
+        "hello",
     )
     try:
         serve(engine, args.name, stdin, writer)

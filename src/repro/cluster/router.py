@@ -8,9 +8,13 @@ fabrics and artifact cache.  The router owns three protocols whose
 orderings carry the durability invariants:
 
 **Routing + dedup.**  A job id is acknowledged cluster-wide exactly
-once: the router consults its delivered results and every live shard
-(results *and* queues) before forwarding, so client retries after a
-router restart are absorbed no matter which shard the job migrated to.
+once.  The router's *owner index* (``owner``: job id → shard) is the
+authority: submit, steal, handoff, drain and rejoin each record where a
+job lands, and a new router seeds the index from every live shard's
+finished ids and backlog, so client retries after a router restart are
+absorbed no matter which shard the job migrated to.  Submitting a new
+id therefore costs exactly one shard call (its ``submit``); a known id
+costs one ``finished`` read on its owner and is never forwarded again.
 
 **Work stealing** (hot shard → cold shard), thief-first::
 
@@ -22,8 +26,11 @@ A crash between the two writes leaves the job in *both* journals; both
 incarnations may execute it, which is safe — outputs are bit-identical
 by construction and the router delivers first-wins — while a crash
 before the first write leaves it exactly where it was.  At no point can
-replay drop it, which is the invariant the steal chaos matrix pins.
-Only cold-hash jobs are stolen (see
+replay drop it, which is the invariant the steal chaos matrix pins.  A
+shard process dying mid-steal lands in the same two cases: a failed
+thief submit aborts the steal, a failed victim release leaves the job
+in both journals, and the supervisor, not the exception, decides the
+dead shard's fate.  Only cold-hash jobs are stolen (see
 :meth:`~repro.cluster.shard.ShardWorker.steal_candidates`), so stealing
 never breaks a warm affinity run.
 
@@ -46,7 +53,7 @@ from typing import Callable
 
 from repro.chaos.crashpoints import crashpoint, register_crashpoint
 from repro.compile.hashing import plan_hash_prefix
-from repro.errors import ClusterError
+from repro.errors import ClusterError, RpcError
 from repro.cluster.ring import KEY_BITS, HashRing
 from repro.cluster.shard import ShardWorker
 from repro.serve.durability.journal import FsyncPolicy, JobJournal
@@ -159,8 +166,16 @@ class ShardRouter:
         self.draining: set[str] = set()
         #: First-wins delivered results (the client-facing dedup line).
         self.results: dict[str, JobResult] = {}
-        #: Where each acknowledged job currently lives.
+        #: Where each acknowledged job currently lives — the dedup
+        #: authority (see the module docstring).  Seeded from the shards'
+        #: recovered state; a finished copy wins over a queued one.
         self.owner: dict[str, str] = {}
+        for shard in self.live_shards():
+            for request in shard.backlog():
+                self.owner.setdefault(request.job_id, shard.name)
+        for shard in self.live_shards():
+            for job_id in shard.finished_ids():
+                self.owner[job_id] = shard.name
         self._key_memo: dict[str, int] = {}
         # -- accounting ---------------------------------------------------
         self.steals = 0
@@ -198,13 +213,12 @@ class ShardRouter:
         recorded = self.results.get(request.job_id)
         if recorded is not None:
             return recorded
-        for shard in self.live_shards():
-            result = shard.finished(request.job_id)
-            if result is not None:
-                self._record(result)
-                return result
-        if any(s.has_job(request.job_id) for s in self.live_shards()):
-            return None  # queued somewhere (recovered or stolen) — acked
+        owner = self.owner.get(request.job_id)
+        if owner is not None:
+            # Acked already: its owner holds it queued (``None``) or
+            # finished.  A dead owner reads ``None`` and its handoff
+            # re-homes the job.
+            return self._record(self.shards[owner].finished(request.job_id))
         name = self.shard_for(request.spec)
         pre = self.shards[name].submit(request)
         self.owner[request.job_id] = name
@@ -241,13 +255,14 @@ class ShardRouter:
         """One lockstep round: every live shard runs one queued job.
 
         Deterministic (shards step in name order), which is what lets
-        the cluster chaos matrix place crashes reproducibly.  Returns
-        the number of jobs completed this round.
+        the cluster chaos matrix place crashes reproducibly.  Shards with
+        an empty queue are skipped.  Returns the number of jobs
+        completed this round.
         """
         completed = 0
         for name in sorted(self.shards):
             shard = self.shards[name]
-            if not shard.alive:
+            if not shard.alive or not shard.queue_depth:
                 continue
             result = shard.step_one()
             if result is not None:
@@ -299,7 +314,10 @@ class ShardRouter:
         self, victim: ShardWorker, thief: ShardWorker, request: JobRequest
     ) -> bool:
         """Move one queued job, thief-first (see the module docstring)."""
-        pre = thief.submit(request)
+        try:
+            pre = thief.submit(request)
+        except RpcError:
+            return False  # the thief died or wedged: the job stays put
         if pre is not None:
             # The thief already finished this id (a duplicate left over
             # from an earlier crash window): don't take ownership twice.
@@ -307,9 +325,12 @@ class ShardRouter:
             return False
         thief.jobs_stolen_in += 1
         crashpoint(CP_STEAL)
-        victim.release(
-            request.job_id, {"to": thief.name, "reason": "steal"}
-        )
+        try:
+            victim.release(
+                request.job_id, {"to": thief.name, "reason": "steal"}
+            )
+        except RpcError:
+            pass  # the victim died or wedged: the CP_STEAL window
         self.owner[request.job_id] = thief.name
         self.steals += 1
         self.metrics.counter(
@@ -399,7 +420,9 @@ class ShardRouter:
                 self._record(done)
                 continue
             if target.has_job(request.job_id):
-                continue  # an earlier handoff pass already re-homed it
+                # An earlier handoff pass already re-homed it.
+                self.owner[request.job_id] = successor
+                continue
             pre = target.submit(request)
             if pre is None:
                 target.jobs_handed_in += 1

@@ -11,7 +11,10 @@ deployed cache and MUST NOT happen silently.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compile import clear_cache
 from repro.compile.frontends import (
@@ -25,6 +28,7 @@ from repro.compile.frontends import (
 )
 from repro.errors import CompileError
 from repro.kernels.fft.decompose import FFTPlan
+from repro.kernels.jpeg.encoder import blocks_of
 
 #: (kind, params) -> pre-refactor artifact hash.  Captured from the
 #: hand lowerings at the commit introducing the dataflow frontend.
@@ -124,3 +128,32 @@ class TestRegistry:
     def test_params_from_spec_checks_arity(self):
         with pytest.raises(CompileError, match="spec wants params"):
             get_frontend("gemm").params_from_spec((8,))
+
+
+class TestExamplePayloads:
+    """Every example payload passes its own kernel's input encoder."""
+
+    @pytest.mark.parametrize("kind", ["conv2d", "gemm", "dsp", "fft", "jpeg"])
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_example_payload_encodes(self, kind, seed):
+        frontend = get_frontend(kind)
+        params = frontend.canonicalize(None)
+        port = compile_kernel(kind, params).plan.input_port
+        payload = frontend.example_payload(params, np.random.default_rng(seed))
+        if kind == "jpeg":
+            # The JPEG session feeds its port one 8x8 block at a time.
+            blocks, rows, cols = blocks_of(payload)
+            inputs = [blocks[r, c] for r in range(rows) for c in range(cols)]
+        else:
+            inputs = [payload]
+        for value in inputs:
+            port.encoder(value)  # raises KernelError when out of range
+
+    def test_fft_gaussian_outliers_are_clipped(self):
+        # Seed 902 drew a payload past the Q30 headroom before clipping.
+        frontend = get_frontend("fft")
+        params = frontend.canonicalize(None)
+        port = compile_kernel("fft", params).plan.input_port
+        payload = frontend.example_payload(params, np.random.default_rng(902))
+        port.encoder(payload)
